@@ -1,9 +1,8 @@
 (* Guards the sampled-tracing cost contract (lib/obs/sampling.mli): with the
    default binary sink and a 1-in-10 sampling policy on the data-path kinds,
    tracing a trace-dense workload must cost < 10% wall-clock over tracing
-   off. This is the enforced twin of the informational
-   [sampled_overhead_pct_ci] field in BENCH_trace_scale.json — wall-clock
-   numbers are excluded from the baseline compare, so the gate lives here.
+   off. This is the only place that cost is measured: wall-clock numbers
+   are excluded from the baseline compare, so the gate lives here.
 
    Methodology: each round measures tracing-off and sampled-tracing
    back-to-back and takes their ratio, so slow machine phases (frequency

@@ -806,10 +806,10 @@ let with_peak_live_words f =
 
 let run_trace_scale ~quick ~print =
   header print
-    "Trace scale: binary codec density, streaming-analyzer memory bound,\n\
-     emit-time sampling overhead (synthetic open-loop replication trace;\n\
-     gates: bin >= 5x denser than JSONL, analyzer memory flat in trace\n\
-     length, sampled tracing < 10% over tracing-off)";
+    "Trace scale: binary codec density and streaming-analyzer memory bound\n\
+     (synthetic open-loop replication trace; gates: bin >= 5x denser than\n\
+     JSONL, analyzer memory flat in trace length; the sampled-tracing\n\
+     overhead gate is dune build @check-overhead)";
   let seed = 1 and nodes = 5 in
   let events = if quick then 100_000 else 1_000_000 in
   let synth n f = Obs.Synth.iter ~nodes ~seed ~events:n f in
@@ -876,69 +876,6 @@ let run_trace_scale ~quick ~print =
   say print "analyzer throughput : %.0f events/s\n"
     (float_of_int events /. Float.max analyze_s 1e-9);
 
-  (* Emit-time overhead: the shared overhead workload (a real simulated
-     cluster exercising every instrumented hot path) with tracing off vs
-     sampled tracing (rate 10) into the binary encoder, interleaved
-     min-of-trials so drift hits both equally. Full-fidelity tracing is
-     measured too, informationally — the <10% gate is on the sampled
-     configuration, which is the one meant for million-event runs. *)
-  (* Never shrink reps below calibration: the trial must dwarf Sys.time's
-     resolution or the percentages are noise. *)
-  let reps = Workload.calibrate_reps () in
-  let trials = if quick then 5 else 7 in
-  let best_off = ref infinity
-  and best_sampled = ref infinity
-  and best_full = ref infinity
-  and sampled_ratios = ref []
-  and full_ratios = ref [] in
-  let traced sampling =
-    Obs.Trace.set_sampling sampling;
-    Obs.Trace.set_enabled true;
-    let w = Obs.Tracebin.writer ignore in
-    let id = Obs.Trace.subscribe (Obs.Tracebin.write w) in
-    let t, _ = Workload.time_reps reps in
-    Obs.Trace.unsubscribe id;
-    Obs.Trace.set_enabled false;
-    Obs.Trace.set_sampling None;
-    t
-  in
-  for _ = 1 to trials do
-    (* Per-round paired ratios: each traced run is divided by the off run
-       measured adjacently, so slow machine phases (frequency scaling,
-       noisy neighbours) mostly cancel instead of polluting one side of a
-       global minimum. The gate uses the median ratio across rounds —
-       min would be biased by rounds where noise favours the traced leg. *)
-    Obs.Trace.set_enabled false;
-    let off, _ = Workload.time_reps reps in
-    best_off := Float.min !best_off off;
-    let sampled =
-      (* head:0 — the always-keep head is a short-trace nicety; at scale
-         it is noise (0.1% of a 1M-event run) and including it here would
-         understate the steady-state benefit on this short workload. *)
-      traced (Some (Obs.Sampling.create ~head:0 ~rate:10 ()))
-    in
-    best_sampled := Float.min !best_sampled sampled;
-    sampled_ratios := (sampled /. Float.max off 1e-9) :: !sampled_ratios;
-    let full = traced None in
-    best_full := Float.min !best_full full;
-    full_ratios := (full /. Float.max off 1e-9) :: !full_ratios
-  done;
-  let median l =
-    let a = Array.of_list l in
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
-  in
-  let sampled_pct = 100.0 *. (median !sampled_ratios -. 1.0)
-  and full_pct = 100.0 *. (median !full_ratios -. 1.0) in
-  let overhead_ok = sampled_pct < 10.0 in
-  say print "tracing off         : %.1f ms (min of %d trials x %d runs)\n"
-    (!best_off *. 1000.0) trials reps;
-  say print "sampled bin tracing : %.1f ms (%+.1f%%, gate < 10%%: %s)\n"
-    (!best_sampled *. 1000.0) sampled_pct
-    (if overhead_ok then "ok" else "FAIL");
-  say print "full bin tracing    : %.1f ms (%+.1f%%, informational)\n"
-    (!best_full *. 1000.0) full_pct;
-
   let row =
     J.Obj
       [
@@ -950,18 +887,12 @@ let run_trace_scale ~quick ~print =
         ("analyzer_peak_live_words_count", J.Int peak_full);
         ("analyzer_peak_live_words_fifth_count", J.Int peak_fifth);
         ("analyzer_memory_bounded", J.Bool bounded_ok);
-        (* _ci: derived from wall-clock, so excluded from baseline compare;
-           the enforced version of this gate is bench/check_sampling_overhead
-           (dune build @check-overhead), which retries across noise spikes. *)
-        ("sampled_overhead_gate_10pct_ci", J.Bool overhead_ok);
         (* Wall-clock figures: machine-dependent, excluded from the
            baseline compare via the _ci (ignore) tolerance class. *)
         ( "encode_events_per_s_ci",
           J.float (float_of_int events /. Float.max bin_s 1e-9) );
         ( "analyze_events_per_s_ci",
           J.float (float_of_int events /. Float.max analyze_s 1e-9) );
-        ("sampled_overhead_pct_ci", J.float sampled_pct);
-        ("full_overhead_pct_ci", J.float full_pct);
       ]
   in
   envelope ~section:"trace_scale" ~seeds:[ seed ] ~quick

@@ -73,7 +73,18 @@ let tracing_term =
     const mk $ trace_arg $ trace_format_arg $ sample_rate_arg
     $ sample_head_arg)
 
+(* A trace path that cannot be written is a usage error: report it and exit
+   2 before anything is simulated, not with an uncaught [Sys_error] after. *)
+let check_writable file =
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 file with
+  | oc -> close_out oc
+  | exception Sys_error e ->
+      (* [e] reads "FILE: reason". *)
+      Printf.eprintf "opx: cannot write %s\n" e;
+      exit 2
+
 let with_tracing tr f =
+  Option.iter check_writable tr.t_file;
   let prev = Obs.Trace.sampling () in
   if tr.t_rate > 1 then
     Obs.Trace.set_sampling
@@ -536,6 +547,7 @@ let convert_cmd =
 
 let trace_run_cmd =
   let run pr out format seed servers partition_s cp =
+    Option.iter check_writable out;
     let runs =
       E.traced_scenarios ~pr ~seed ~n:servers
         ~partition_ms:(float_of_int partition_s *. 1000.0)
@@ -567,22 +579,16 @@ let trace_run_cmd =
     let failed = ref false in
     List.iter
       (fun (tr : E.traced_run) ->
-        let s = Rsm.Trace_report.summarize tr.E.tr_events in
-        pf "== %s: %s (downtime %.0f ms, decided %d%s) ==\n" pr.E.pr_name
+        let r =
+          Obs.Analyze.run ~ring_dropped:tr.E.tr_dropped
+            ~ring_dropped_by_kind:tr.E.tr_dropped_by_kind tr.E.tr_events
+        in
+        pf "== %s: %s (downtime %.0f ms, decided %d) ==\n" pr.E.pr_name
           (E.scenario_name tr.E.tr_kind)
-          tr.E.tr_downtime_ms tr.E.tr_decided
-          (if tr.E.tr_dropped > 0 then
-             Printf.sprintf ", ring-dropped %d" tr.E.tr_dropped
-           else "");
-        if tr.E.tr_dropped > 0 then begin
-          pf "   ring drops by kind:";
-          List.iter
-            (fun (k, c) -> pf " %s=%d" k c)
-            tr.E.tr_dropped_by_kind;
-          pf "\n"
-        end;
-        Format.printf "%a@.@." Rsm.Trace_report.pp s;
-        if not (Rsm.Trace_report.passed s) then failed := true)
+          tr.E.tr_downtime_ms tr.E.tr_decided;
+        Format.printf "%a@." Obs.Analyze.pp r;
+        let violated (_, v) = Result.is_error v in
+        if List.exists violated r.Obs.Analyze.invariants then failed := true)
       runs;
     if !failed then exit 1
   in
@@ -623,11 +629,11 @@ let trace_cmd =
     ~default:trace_run_cmd
     (Cmd.info "trace"
        ~doc:
-         "Run the three partial-connectivity scenarios with tracing on, \
-          report per-kind event counts and the trace invariants (non-zero \
-          exit on a violation); analyze a recorded trace ($(b,opx trace \
-          analyze FILE), $(b,-) for stdin); or convert between encodings \
-          ($(b,opx trace convert SRC DST))")
+         "Run the three partial-connectivity scenarios with tracing on and \
+          print the trace analysis of each (non-zero exit on an invariant \
+          violation); analyze a recorded trace ($(b,opx trace analyze \
+          FILE), $(b,-) for stdin); or convert between encodings ($(b,opx \
+          trace convert SRC DST))")
     [ analyze_cmd; convert_cmd ]
 
 (* ---------------- chaos ---------------- *)

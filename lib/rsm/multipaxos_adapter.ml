@@ -2,146 +2,50 @@
 
 module N = Multipaxos.Node
 
-type t = {
-  id : int;
-  node : N.t;
-  cache : Protocol.Decided_cache.t;
-  obs : Protocol.Obs_hooks.t;
-  mutable scanned : int;
-  mutable install_seq : int;
-  mutable last_install : Protocol.install option;
-}
+module Core = struct
+  type t = N.t
+  type msg = N.msg
 
-type msg = N.msg
+  let name = "Multi-Paxos"
+  let frame = "multipaxos"
 
-let name = "Multi-Paxos"
+  let extra_trace =
+    Adapter.Log_and_leaders
+      {
+        term = (fun n -> (N.current_ballot n).N.n);
+        last_idx = (fun n -> N.next_slot n - 1);
+        snapshot = N.snapshot;
+      }
 
-let scan t upto =
-  let log = N.decided_log t.node in
+  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
+      ~on_decide ~on_install ~on_compact () =
+    let k = Adapter.local_knobs ?batching ?compaction () in
+    N.create ~id ~peers ~election_ticks ~rand ~max_batch:k.max_batch
+      ~eager_batch:k.eager_batch ~snapshot_interval:k.snapshot_interval
+      ~retain:k.retain ~on_compact ~on_install ~send ~on_decide ()
+
   (* Slots below the trim point live only in the snapshot; the install hook
-     already jumped [scanned] past them, the clamp is belt-and-braces. *)
-  for i = max t.scanned (Replog.Log.first_idx log) to upto - 1 do
-    let c = Replog.Log.get log i in
-    if c.Replog.Command.id >= 0 then
-      Protocol.Decided_cache.note t.cache c.Replog.Command.id
-  done;
-  t.scanned <- max t.scanned upto
+     already jumped the cursor past them, the clamp is belt-and-braces. *)
+  let scan n cache ~from ~upto =
+    let log = N.decided_log n in
+    for i = max from (Replog.Log.first_idx log) to upto - 1 do
+      Adapter.note_cmd cache (Replog.Log.get log i)
+    done
 
-let create ?(batching = Omnipaxos.Batching.fixed)
-    ?(compaction = Omnipaxos.Compaction.disabled) ~id ~peers ~election_ticks
-    ~rand ~send () =
-  let cache = Protocol.Decided_cache.create () in
-  let t_ref = ref None in
-  let on_decide upto =
-    match !t_ref with
-    | Some t ->
-        scan t upto;
-        Protocol.Obs_hooks.note_decided ~node:t.id
-          ~term:(N.current_ballot t.node).N.n ~leader:(N.leader_pid t.node)
-          ~decided_idx:upto
-    | None -> ()
-  in
-  (* Same translation as the Raft adapter: cap P2a batches at [max_batch],
-     and under the adaptive policy flush eagerly at [min_batch] pending. *)
-  let b = Omnipaxos.Batching.validated batching in
-  let eager_batch =
-    if b.Omnipaxos.Batching.adaptive then b.Omnipaxos.Batching.min_batch else 0
-  in
-  (* Compaction translates the same way; the adapter supplies the trace
-     events Sequence Paxos emits internally. *)
-  let c = Omnipaxos.Compaction.validated compaction in
-  let on_compact ~upto ~entries =
-    if Obs.Trace.on () then begin
-      (match !t_ref with
-      | Some t ->
-          Obs.Trace.emit ~node:id
-            (Obs.Event.Snapshot_taken
-               { idx = upto; bytes = String.length (N.snapshot t.node) })
-      | None -> ());
-      Obs.Trace.emit ~node:id (Obs.Event.Log_trimmed { upto; entries })
-    end
-  in
-  let on_install idx payload =
-    match !t_ref with
-    | Some t ->
-        (* Slots below [idx] are gone from the decided log: jump the scan
-           cursor and record the install for checkers. Fires before
-           [on_decide] reports the installed watermark. *)
-        t.scanned <- max t.scanned idx;
-        t.install_seq <- t.install_seq + 1;
-        t.last_install <-
-          Some
-            {
-              Protocol.inst_seq = t.install_seq;
-              inst_cache_len = Protocol.Decided_cache.count t.cache;
-              inst_payload = payload;
-            };
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:id
-            (Obs.Event.Snapshot_installed
-               { idx; bytes = String.length payload })
-    | None -> ()
-  in
-  let node =
-    N.create ~id ~peers ~election_ticks ~rand
-      ~max_batch:b.Omnipaxos.Batching.max_batch ~eager_batch
-      ~snapshot_interval:c.Omnipaxos.Compaction.snapshot_interval
-      ~retain:c.Omnipaxos.Compaction.retain ~on_compact ~on_install ~send
-      ~on_decide ()
-  in
-  let t =
-    {
-      id;
-      node;
-      cache;
-      obs = Protocol.Obs_hooks.create ();
-      scanned = 0;
-      install_seq = 0;
-      last_install = None;
-    }
-  in
-  t_ref := Some t;
-  t
+  let handle = N.handle
+  let tick = N.tick
+  let session_reset = N.session_reset
 
-(* Profiler frames around the dispatch entry points; the cold branch
-   repeats the call so the profiler-off path allocates no closure. *)
-let handle t ~src msg =
-  if Obs.Profile.on () then
-    Obs.Profile.wrap "multipaxos/handle" (fun () -> N.handle t.node ~src msg)
-  else N.handle t.node ~src msg
+  (* Multi-Paxos exposes no storage abstraction: model synchronous full-state
+     persistence — a crash is a pause plus lost in-flight traffic, not an
+     amnesia restart (which would forget Phase-1 promises and break
+     safety). *)
+  let restart _ = ()
+  let propose = N.propose
+  let is_leader = N.is_leader
+  let leader_pid = N.leader_pid
+  let decided_index = N.decided_length
+  let msg_size = N.msg_size
+end
 
-let tick_raw t =
-  N.tick t.node;
-  Protocol.Obs_hooks.note_leader t.obs ~node:t.id
-    ~leader:(N.leader_pid t.node)
-    ~term:(N.current_ballot t.node).N.n
-
-let tick t =
-  if Obs.Profile.on () then
-    Obs.Profile.wrap "multipaxos/tick" (fun () -> tick_raw t)
-  else tick_raw t
-
-let session_reset t ~peer = N.session_reset t.node ~peer
-
-(* Multi-Paxos exposes no storage abstraction: model synchronous full-state
-   persistence — a crash is a pause plus lost in-flight traffic, not an
-   amnesia restart (which would forget Phase-1 promises and break safety). *)
-let restart _t = ()
-
-(* Mirror of the Sequence Paxos [Proposed] emit: span assembly needs the
-   leader-append moment for every protocol, not just Omni-Paxos. *)
-let propose t cmd =
-  let ok = N.propose t.node cmd in
-  if ok && Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id
-      (Obs.Event.Proposed
-         { log_idx = N.next_slot t.node - 1; cmd_id = cmd.Replog.Command.id });
-  ok
-let is_leader t = N.is_leader t.node
-let leader_pid t = N.leader_pid t.node
-let decided_count t = Protocol.Decided_cache.count t.cache
-let decided_ids t ~from = Protocol.Decided_cache.ids_from t.cache ~from
-let decided_index t = N.decided_length t.node
-let last_install t = t.last_install
-let msg_size = N.msg_size
-let node t = t.node
+include Adapter.Make (Core)

@@ -1,169 +1,78 @@
-(* Omni-Paxos behind the uniform protocol interface. *)
+(* Omni-Paxos behind the uniform protocol interface, plus the two Table 1
+   variants: the same core with different Ballot Leader Election options. *)
 
 module R = Omnipaxos.Replica
 
-type t = {
-  mutable replica : R.t;
-  cache : Protocol.Decided_cache.t;
-  mutable scanned : int;  (* log index up to which decided entries were read *)
-  mutable install_seq : int;
-  mutable last_install : Protocol.install option;
-  build : unit -> R.t;
-      (* rebuild on the same stable storage (fail-recovery restarts) *)
-}
+(* The replica is rebuilt on the same stable storage by fail-recovery
+   restarts, so the core keeps the builder next to it. *)
+type replica = { mutable replica : R.t; build : unit -> R.t }
 
-type msg = R.msg
+module Core (V : sig
+  val name : string
+  val qc_signal : bool
+  val connectivity_priority : bool
+end) =
+struct
+  type t = replica
+  type msg = R.msg
 
-let name = "Omni-Paxos"
+  let name = V.name
+  let frame = "omnipaxos"
+  let extra_trace = Adapter.No_extra
 
-let scan t upto =
-  let entries = R.read_decided t.replica ~from:t.scanned in
-  let rec take i = function
-    | [] -> ()
-    | e :: rest ->
-        if i < upto then begin
-          (match e with
-          | Omnipaxos.Entry.Cmd c ->
-              if c.Replog.Command.id >= 0 then
-                Protocol.Decided_cache.note t.cache c.Replog.Command.id
-          | Omnipaxos.Entry.Stop_sign _ -> ());
-          take (i + 1) rest
-        end
-  in
-  take t.scanned entries;
-  (* [max]: recovery re-announces the decided index from storage; never let
-     an early (lower) announcement rewind the scan and duplicate ids. *)
-  t.scanned <- max t.scanned upto
+  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand:_ ~send
+      ~on_decide ~on_install ~on_compact:_ () =
+    let storage = R.Storage.create () in
+    let build () =
+      R.create ~id ~peers ~qc_signal:V.qc_signal
+        ~connectivity_priority:V.connectivity_priority ~hb_ticks:election_ticks
+        ?batching ?compaction ~storage ~send ~on_decide
+        ~on_snapshot:on_install ()
+    in
+    { replica = build (); build }
 
-let make ?qc_signal ?connectivity_priority ?batching ?compaction ~id ~peers
-    ~election_ticks ~rand ~send () =
-  ignore rand;
-  let cache = Protocol.Decided_cache.create () in
-  let storage = R.Storage.create () in
-  let t_ref = ref None in
-  let on_decide idx =
-    match !t_ref with Some t -> scan t idx | None -> ()
-  in
-  (* A leader-shipped snapshot replaced the log prefix below [idx]: entries
-     there can no longer be scanned, so jump the scan cursor and record the
-     install for checkers (the cache length marks where decided ids resume
-     on top of the installed state). Fires before the decided index
-     advances, so the subsequent [scan] reads an aligned suffix. *)
-  let on_snapshot idx payload =
-    match !t_ref with
-    | Some t ->
-        t.scanned <- max t.scanned idx;
-        t.install_seq <- t.install_seq + 1;
-        t.last_install <-
-          Some
-            {
-              Protocol.inst_seq = t.install_seq;
-              inst_cache_len = Protocol.Decided_cache.count t.cache;
-              inst_payload = payload;
-            }
-    | None -> ()
-  in
-  let build () =
-    R.create ~id ~peers ?qc_signal ?connectivity_priority
-      ~hb_ticks:election_ticks ?batching ?compaction ~storage ~send ~on_decide
-      ~on_snapshot ()
-  in
-  let t =
-    {
-      replica = build ();
-      cache;
-      scanned = 0;
-      install_seq = 0;
-      last_install = None;
-      build;
-    }
-  in
-  t_ref := Some t;
-  t
+  let scan c cache ~from ~upto:_ =
+    Adapter.note_entries cache (R.read_decided c.replica ~from)
 
-let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send () =
-  make ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send ()
+  let handle c ~src msg = R.handle c.replica ~src msg
+  let tick c = R.tick c.replica
+  let session_reset c ~peer = R.session_reset c.replica ~peer
 
-(* Profiler frames around the two dispatch entry points. The cold branch
-   repeats the call instead of passing a closure to [wrap], so the
-   profiler-off path allocates nothing (the overhead gate measures this). *)
-let handle t ~src msg =
-  if Obs.Profile.on () then
-    Obs.Profile.wrap "omnipaxos/handle" (fun () -> R.handle t.replica ~src msg)
-  else R.handle t.replica ~src msg
+  (* Fail-recovery: volatile state is lost, the replica is rebuilt on its old
+     storage and runs the recovery protocol. The skeleton's scan cursor stays
+     valid because the decided prefix lives in the storage and only ever
+     grows. *)
+  let restart c =
+    c.replica <- c.build ();
+    R.recover c.replica
 
-let tick t =
-  if Obs.Profile.on () then
-    Obs.Profile.wrap "omnipaxos/tick" (fun () -> R.tick t.replica)
-  else R.tick t.replica
+  let propose c cmd = R.propose_cmd c.replica cmd
+  let is_leader c = R.is_leader c.replica
+  let leader_pid c = R.leader_pid c.replica
+  let decided_index c = R.decided_idx c.replica
+  let msg_size = R.msg_size
+end
 
-let session_reset t ~peer = R.session_reset t.replica ~peer
+include Adapter.Make (Core (struct
+  let name = "Omni-Paxos"
+  let qc_signal = true
+  let connectivity_priority = false
+end))
 
-(* Fail-recovery: volatile state is lost, the replica is rebuilt on its old
-   storage and runs the recovery protocol. [scanned] stays valid because the
-   decided prefix lives in the storage and only ever grows. *)
-let restart t =
-  let r = t.build () in
-  t.replica <- r;
-  R.recover r
-let propose t cmd = R.propose_cmd t.replica cmd
-let is_leader t = R.is_leader t.replica
-let leader_pid t = R.leader_pid t.replica
-let decided_count t = Protocol.Decided_cache.count t.cache
-let decided_ids t ~from = Protocol.Decided_cache.ids_from t.cache ~from
-let decided_index t = R.decided_idx t.replica
-let last_install t = t.last_install
-let msg_size = R.msg_size
-let replica t = t.replica
+let replica t = (node t).replica
 
 (* Ablation variant: heartbeats carry no QC flag (the "QC status heartbeats"
    column of Table 1). Quorum-loss recovery is expected to fail. *)
-module No_qc_signal = struct
-  type nonrec t = t
-  type nonrec msg = msg
-
+module No_qc_signal = Adapter.Make (Core (struct
   let name = "Omni (no QC flag)"
-
-  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send () =
-    make ~qc_signal:false ?batching ?compaction ~id ~peers ~election_ticks
-      ~rand ~send ()
-
-  let handle = handle
-  let tick = tick
-  let session_reset = session_reset
-  let restart = restart
-  let propose = propose
-  let is_leader = is_leader
-  let leader_pid = leader_pid
-  let decided_count = decided_count
-  let decided_ids = decided_ids
-  let decided_index = decided_index
-  let last_install = last_install
-  let msg_size = msg_size
-end
+  let qc_signal = false
+  let connectivity_priority = false
+end))
 
 (* §8 optimisation variant: takeover ballots carry connectivity, so the
    best-connected simultaneous candidate wins ties. *)
-module Connectivity_priority = struct
-  type nonrec t = t
-  type nonrec msg = msg
-
+module Connectivity_priority = Adapter.Make (Core (struct
   let name = "Omni (conn-prio)"
-
-  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send () =
-    make ~connectivity_priority:true ?batching ?compaction ~id ~peers
-      ~election_ticks ~rand ~send ()
-
-  let handle = handle
-  let tick = tick
-  let session_reset = session_reset
-  let restart = restart
-  let propose = propose
-  let is_leader = is_leader
-  let leader_pid = leader_pid
-  let decided_count = decided_count
-  let decided_ids = decided_ids
-  let decided_index = decided_index
-  let last_install = last_install
-  let msg_size = msg_size
-end
+  let qc_signal = true
+  let connectivity_priority = true
+end))

@@ -88,64 +88,3 @@ module type PROTOCOL = sig
 
   val msg_size : msg -> int
 end
-
-(* Shared trace instrumentation for the protocol adapters: terms/views map
-   onto trace ballots as (term, 0, leader). [note_leader] is called from the
-   adapter's [tick]/decide paths and emits Leader_elected/Leader_changed on
-   transitions; [note_decided] reports decided-index advances. Everything is
-   behind the [Obs.Trace.on] guard, so it costs one branch when tracing is
-   off. *)
-module Obs_hooks = struct
-  type t = { mutable last_leader : (int * int) option (* (pid, term) *) }
-
-  let create () = { last_leader = None }
-
-  let note_leader s ~node ~leader ~term =
-    if Obs.Trace.on () then
-      match leader with
-      | None -> ()
-      | Some pid ->
-          let same =
-            match s.last_leader with
-            | Some (p, t) -> Int.equal p pid && Int.equal t term
-            | None -> false
-          in
-          if not same then begin
-            let first = Option.is_none s.last_leader in
-            s.last_leader <- Some (pid, term);
-            let b = { Obs.Event.n = term; prio = 0; pid } in
-            Obs.Trace.emit ~node
-              (if first then Obs.Event.Leader_elected b
-               else Obs.Event.Leader_changed b)
-          end
-
-  let note_decided ~node ~term ~leader ~decided_idx =
-    if Obs.Trace.on () then
-      let b =
-        { Obs.Event.n = term; prio = 0; pid = Option.value leader ~default:(-1) }
-      in
-      Obs.Trace.emit ~node (Obs.Event.Decided { b; decided_idx })
-end
-
-(* Incrementally materialised list of decided command ids; adapters feed it
-   from their decide/commit callbacks so queries are O(delta). *)
-module Decided_cache = struct
-  type t = { mutable ids : int array; mutable count : int }
-
-  let create () = { ids = Array.make 64 0; count = 0 }
-
-  let note t id =
-    if t.count = Array.length t.ids then begin
-      let bigger = Array.make (2 * t.count) 0 in
-      Array.blit t.ids 0 bigger 0 t.count;
-      t.ids <- bigger
-    end;
-    t.ids.(t.count) <- id;
-    t.count <- t.count + 1
-
-  let count t = t.count
-
-  let ids_from t ~from =
-    let from = max 0 from in
-    Array.to_list (Array.sub t.ids from (max 0 (t.count - from)))
-end

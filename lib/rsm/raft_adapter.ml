@@ -3,167 +3,63 @@
 
 module N = Raft.Node
 
-type t = {
-  id : int;
-  node : N.t;
-  cache : Protocol.Decided_cache.t;
-  obs : Protocol.Obs_hooks.t;
-  mutable scanned : int;
-  mutable install_seq : int;
-  mutable last_install : Protocol.install option;
-}
+module Core (V : sig
+  val name : string
+  val pv_cq : bool
+end) =
+struct
+  type t = N.t
+  type msg = N.msg
 
-let scan t upto =
-  (* [upto <= t.scanned] happens while the commit index regrows from 0 after
-     a fail-recovery restart: those entries are already noted, and reading
-     them again would ask for a negative-length slice. *)
-  if upto > t.scanned then begin
-    let entries = N.read_committed t.node ~from:t.scanned in
+  let name = V.name
+  let frame = "raft"
+
+  let extra_trace =
+    Adapter.Log_and_leaders
+      {
+        term = N.current_term;
+        last_idx = (fun n -> N.log_length n - 1);
+        snapshot = N.snapshot;
+      }
+
+  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
+      ~on_decide ~on_install ~on_compact () =
+    let k = Adapter.local_knobs ?batching ?compaction () in
+    N.create ~id ~voters:(id :: peers) ~pre_vote:V.pv_cq ~check_quorum:V.pv_cq
+      ~max_batch:k.max_batch ~eager_batch:k.eager_batch
+      ~snapshot_interval:k.snapshot_interval ~retain:k.retain ~on_compact
+      ~on_install ~election_ticks ~rand ~persistent:(N.fresh_persistent ())
+      ~send ~on_commit:on_decide ()
+
+  let scan n cache ~from ~upto:_ =
     List.iter
       (fun (e : N.entry) ->
         match e.N.data with
-        | N.Cmd c ->
-            if c.Replog.Command.id >= 0 then
-              Protocol.Decided_cache.note t.cache c.Replog.Command.id
+        | N.Cmd c -> Adapter.note_cmd cache c
         | N.Config _ -> ())
-      entries;
-    t.scanned <- upto
-  end
+      (N.read_committed n ~from)
 
-let make ~pre_vote ~check_quorum ?(batching = Omnipaxos.Batching.fixed)
-    ?(compaction = Omnipaxos.Compaction.disabled) ~id ~peers ~election_ticks
-    ~rand ~send () =
-  let cache = Protocol.Decided_cache.create () in
-  let t_ref = ref None in
-  let on_commit idx =
-    match !t_ref with
-    | Some t ->
-        scan t idx;
-        Protocol.Obs_hooks.note_decided ~node:t.id
-          ~term:(N.current_term t.node) ~leader:(N.leader_pid t.node)
-          ~decided_idx:idx
-    | None -> ()
-  in
-  (* Translate the shared batching knob: [max_batch] caps AppendEntries
-     batches, and an adaptive config turns on the eager size-triggered flush
-     at the same threshold Omni-Paxos starts from ([min_batch]). *)
-  let b = Omnipaxos.Batching.validated batching in
-  let eager_batch =
-    if b.Omnipaxos.Batching.adaptive then b.Omnipaxos.Batching.min_batch else 0
-  in
-  (* Translate the shared compaction knob the same way; Raft compacts
-     locally below its own commit index, so the adapter supplies the trace
-     events Sequence Paxos emits internally. *)
-  let c = Omnipaxos.Compaction.validated compaction in
-  let on_compact ~upto ~entries =
-    if Obs.Trace.on () then begin
-      (match !t_ref with
-      | Some t ->
-          Obs.Trace.emit ~node:id
-            (Obs.Event.Snapshot_taken
-               { idx = upto; bytes = String.length (N.snapshot t.node) })
-      | None -> ());
-      Obs.Trace.emit ~node:id (Obs.Event.Log_trimmed { upto; entries })
-    end
-  in
-  let on_install idx payload =
-    match !t_ref with
-    | Some t ->
-        (* Entries below [idx] are gone from the log: jump the scan cursor
-           and record the install for checkers. Fires before the commit
-           index advances over the installed state. *)
-        t.scanned <- max t.scanned idx;
-        t.install_seq <- t.install_seq + 1;
-        t.last_install <-
-          Some
-            {
-              Protocol.inst_seq = t.install_seq;
-              inst_cache_len = Protocol.Decided_cache.count t.cache;
-              inst_payload = payload;
-            };
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:id
-            (Obs.Event.Snapshot_installed
-               { idx; bytes = String.length payload })
-    | None -> ()
-  in
-  let node =
-    N.create ~id ~voters:(id :: peers) ~pre_vote ~check_quorum
-      ~max_batch:b.Omnipaxos.Batching.max_batch ~eager_batch
-      ~snapshot_interval:c.Omnipaxos.Compaction.snapshot_interval
-      ~retain:c.Omnipaxos.Compaction.retain ~on_compact ~on_install
-      ~election_ticks ~rand ~persistent:(N.fresh_persistent ()) ~send
-      ~on_commit ()
-  in
-  let t =
-    {
-      id;
-      node;
-      cache;
-      obs = Protocol.Obs_hooks.create ();
-      scanned = 0;
-      install_seq = 0;
-      last_install = None;
-    }
-  in
-  t_ref := Some t;
-  t
-
-module Plain = struct
-  type nonrec t = t
-  type msg = N.msg
-
-  let name = "Raft"
-  let create = make ~pre_vote:false ~check_quorum:false
-
-  (* Profiler frames around the dispatch entry points; the cold branch
-     repeats the call so the profiler-off path allocates no closure. *)
-  let handle t ~src msg =
-    if Obs.Profile.on () then
-      Obs.Profile.wrap "raft/handle" (fun () -> N.handle t.node ~src msg)
-    else N.handle t.node ~src msg
-
-  let tick_raw t =
-    N.tick t.node;
-    Protocol.Obs_hooks.note_leader t.obs ~node:t.id
-      ~leader:(N.leader_pid t.node) ~term:(N.current_term t.node)
-
-  let tick t =
-    if Obs.Profile.on () then Obs.Profile.wrap "raft/tick" (fun () -> tick_raw t)
-    else tick_raw t
-
-  let session_reset t ~peer = N.session_reset t.node ~peer
+  let handle = N.handle
+  let tick = N.tick
+  let session_reset = N.session_reset
 
   (* Term, vote and log are Raft's persistent state (kept inside the node);
      [N.recover] resets the volatile role/leader/commit-index view, which is
      re-learned from the next leader's appends. *)
-  let restart t = N.recover t.node
-
-  (* Mirror of the Sequence Paxos [Proposed] emit: span assembly needs the
-     leader-append moment for every protocol, not just Omni-Paxos. *)
-  let propose t cmd =
-    let ok = N.propose t.node cmd in
-    if ok && Obs.Trace.on () then
-      Obs.Trace.emit ~node:t.id
-        (Obs.Event.Proposed
-           {
-             log_idx = N.log_length t.node - 1;
-             cmd_id = cmd.Replog.Command.id;
-           });
-    ok
-  let is_leader t = N.is_leader t.node
-  let leader_pid t = N.leader_pid t.node
-  let decided_count t = Protocol.Decided_cache.count t.cache
-  let decided_ids t ~from = Protocol.Decided_cache.ids_from t.cache ~from
-  let decided_index t = N.commit_idx t.node
-  let last_install t = t.last_install
+  let restart = N.recover
+  let propose = N.propose
+  let is_leader = N.is_leader
+  let leader_pid = N.leader_pid
+  let decided_index = N.commit_idx
   let msg_size = N.msg_size
-  let node t = t.node
 end
 
-module Pv_cq = struct
-  include Plain
+module Plain = Adapter.Make (Core (struct
+  let name = "Raft"
+  let pv_cq = false
+end))
 
+module Pv_cq = Adapter.Make (Core (struct
   let name = "Raft PV+CQ"
-  let create = make ~pre_vote:true ~check_quorum:true
-end
+  let pv_cq = true
+end))

@@ -2,103 +2,39 @@
    interface. *)
 
 module N = Vr.Node
+module Sp = Omnipaxos.Sequence_paxos
 
-type t = {
-  id : int;
-  node : N.t;
-  cache : Protocol.Decided_cache.t;
-  obs : Protocol.Obs_hooks.t;
-  mutable scanned : int;
-  mutable install_seq : int;
-  mutable last_install : Protocol.install option;
-}
+module Core = struct
+  type t = N.t
+  type msg = N.msg
 
-type msg = N.msg
+  let name = "VR"
+  let frame = "vr"
 
-let name = "VR"
+  (* The embedded Sequence Paxos emits the log events and the install;
+     the adapter adds leader/view transitions. *)
+  let extra_trace = Adapter.Leaders N.view
 
-let scan t upto =
-  let entries =
-    Omnipaxos.Sequence_paxos.read_decided (N.sequence_paxos t.node)
-      ~from:t.scanned
-  in
-  List.iter
-    (function
-      | Omnipaxos.Entry.Cmd c ->
-          if c.Replog.Command.id >= 0 then
-            Protocol.Decided_cache.note t.cache c.Replog.Command.id
-      | Omnipaxos.Entry.Stop_sign _ -> ())
-    entries;
-  t.scanned <- upto
+  let create ?batching ?compaction ~id ~peers ~election_ticks ~rand:_ ~send
+      ~on_decide ~on_install ~on_compact:_ () =
+    N.create ~id ~peers ~election_ticks ?batching ?compaction
+      ~on_snapshot:on_install ~send ~on_decide ()
 
-let create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send () =
-  ignore rand;
-  let cache = Protocol.Decided_cache.create () in
-  let t_ref = ref None in
-  let on_decide upto = match !t_ref with Some t -> scan t upto | None -> () in
-  (* Same bookkeeping as the Omni adapter: the embedded Sequence Paxos
-     emits the install trace event itself; here we only jump the scan
-     cursor past the installed prefix and record the install. *)
-  let on_snapshot idx payload =
-    match !t_ref with
-    | Some t ->
-        t.scanned <- max t.scanned idx;
-        t.install_seq <- t.install_seq + 1;
-        t.last_install <-
-          Some
-            {
-              Protocol.inst_seq = t.install_seq;
-              inst_cache_len = Protocol.Decided_cache.count t.cache;
-              inst_payload = payload;
-            }
-    | None -> ()
-  in
-  let node =
-    N.create ~id ~peers ~election_ticks ?batching ?compaction ~on_snapshot
-      ~send ~on_decide ()
-  in
-  let t =
-    {
-      id;
-      node;
-      cache;
-      obs = Protocol.Obs_hooks.create ();
-      scanned = 0;
-      install_seq = 0;
-      last_install = None;
-    }
-  in
-  t_ref := Some t;
-  t
+  let scan n cache ~from ~upto:_ =
+    Adapter.note_entries cache (Sp.read_decided (N.sequence_paxos n) ~from)
 
-(* Profiler frames around the dispatch entry points; the cold branch
-   repeats the call so the profiler-off path allocates no closure. *)
-let handle t ~src msg =
-  if Obs.Profile.on () then
-    Obs.Profile.wrap "vr/handle" (fun () -> N.handle t.node ~src msg)
-  else N.handle t.node ~src msg
+  let handle = N.handle
+  let tick = N.tick
+  let session_reset = N.session_reset
 
-(* VR drives an embedded Sequence Paxos, which already emits Decided events;
-   here we only add leader/view transitions. *)
-let tick_raw t =
-  N.tick t.node;
-  Protocol.Obs_hooks.note_leader t.obs ~node:t.id
-    ~leader:(N.leader_pid t.node) ~term:(N.view t.node)
+  (* VR's node (view + embedded Sequence Paxos) has no injectable storage:
+     like Multi-Paxos, crashes model synchronous full-state persistence. *)
+  let restart _ = ()
+  let propose n cmd = N.propose n (Omnipaxos.Entry.Cmd cmd)
+  let is_leader = N.is_leader
+  let leader_pid = N.leader_pid
+  let decided_index n = Sp.decided_idx (N.sequence_paxos n)
+  let msg_size = N.msg_size
+end
 
-let tick t =
-  if Obs.Profile.on () then Obs.Profile.wrap "vr/tick" (fun () -> tick_raw t)
-  else tick_raw t
-let session_reset t ~peer = N.session_reset t.node ~peer
-
-(* VR's node (view + embedded Sequence Paxos) has no injectable storage:
-   like Multi-Paxos, crashes model synchronous full-state persistence. *)
-let restart _t = ()
-let propose t cmd = N.propose t.node (Omnipaxos.Entry.Cmd cmd)
-let is_leader t = N.is_leader t.node
-let leader_pid t = N.leader_pid t.node
-let decided_count t = Protocol.Decided_cache.count t.cache
-let decided_ids t ~from = Protocol.Decided_cache.ids_from t.cache ~from
-let decided_index t = Omnipaxos.Sequence_paxos.decided_idx (N.sequence_paxos t.node)
-let last_install t = t.last_install
-let msg_size = N.msg_size
-let node t = t.node
+include Adapter.Make (Core)
