@@ -652,6 +652,16 @@ let chaos_cmd =
                   Chaos.Campaign.runners));
           exit 2
     in
+    (* An unwritable trace path fails before the campaign. A file this check
+       had to create is removed again when no failure is written to it. *)
+    let created_trace =
+      match trace with
+      | None -> None
+      | Some file ->
+          let existed = Sys.file_exists file in
+          check_writable file;
+          if existed then None else Some file
+    in
     let cfg =
       {
         Chaos.Campaign.default_config with
@@ -666,7 +676,7 @@ let chaos_cmd =
     let s = runner.Chaos.Campaign.cr_run cfg ~seed ~episodes in
     Format.printf "%a@?" Chaos.Campaign.pp_summary s;
     match s.Chaos.Campaign.s_failures with
-    | [] -> ()
+    | [] -> Option.iter Sys.remove created_trace
     | f :: _ ->
         (match trace with
         | None -> ()

@@ -221,12 +221,16 @@ let try_commit_slot t slot =
 let flush_p2a t =
   if state_is_active t.state && t.pending_from < t.next_slot then begin
     let count = min t.max_batch (t.next_slot - t.pending_from) in
-    let cmds =
-      List.filter_map
-        (fun slot ->
-          Option.map (fun s -> s.s_cmd) (Hashtbl.find_opt t.slots slot))
-        (List.init count (fun i -> t.pending_from + i))
+    (* One pass, back to front, over the pending slots still tracked. *)
+    let rec collect slot cmds =
+      if slot < t.pending_from then cmds
+      else
+        collect (slot - 1)
+          (match Hashtbl.find t.slots slot with
+          | s -> s.s_cmd :: cmds
+          | exception Not_found -> cmds)
     in
+    let cmds = collect (t.pending_from + count - 1) [] in
     let m = P2a { b = t.ballot; start_slot = t.pending_from; cmds } in
     List.iter (fun p -> t.send ~dst:p m) t.peers;
     t.pending_from <- t.pending_from + count

@@ -68,11 +68,15 @@ let is_enabled () = !enabled
 let[@inline] on () = !hot
 let set_clock f = clock := f
 
-(* Words allocated since program start. [Gc.allocated_bytes] is
-   minor + major - promoted (promoted words would otherwise be counted in
-   both generations), scaled to bytes. *)
-let word_bytes = float_of_int (Sys.word_size / 8)
-let alloc_words () = Gc.allocated_bytes () /. word_bytes
+(* Words allocated since program start: minor + major - promoted (promoted
+   words would otherwise be counted in both generations). The minor count
+   comes from [Gc.minor_words], which includes the part of the minor heap
+   in use; the counters behind [Gc.allocated_bytes] and [Gc.quick_stat]'s
+   [minor_words] move only at a minor collection on OCaml 5, so a frame
+   that allocates less than a minor heap could be charged nothing. *)
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let child_of parent label =
   match Hashtbl.find_opt parent.children label with

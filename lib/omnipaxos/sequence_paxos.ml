@@ -773,6 +773,21 @@ let do_flush t ~trigger =
   let sent_entries = ref 0 in
   let sent_followers = ref 0 in
   let floor = Log.first_idx t.dur.log in
+  (* Followers at the same position get the same entry list: it is built
+     once per distinct [(from, count)] and shared, which is safe because
+     lists are immutable. *)
+  let built = ref [] in
+  let entries_for from count =
+    let rec find = function
+      | (f, c, entries) :: _ when f = from && c = count -> entries
+      | _ :: rest -> find rest
+      | [] ->
+          let entries = Log.sub t.dur.log ~pos:from ~len:count in
+          built := (from, count, entries) :: !built;
+          entries
+    in
+    find !built
+  in
   Replog.Det.iter_sorted ~compare_key:Int.compare
     (fun f () ->
       let from = Option.value (Hashtbl.find_opt t.sent_idx f) ~default:len in
@@ -818,7 +833,7 @@ let do_flush t ~trigger =
              {
                n = t.dur.prom_rnd;
                start_idx = from;
-               entries = Log.sub t.dur.log ~pos:from ~len:count;
+               entries = entries_for from count;
                decided_idx = t.dur.decided_idx;
              });
         Hashtbl.replace t.sent_idx f (from + count)

@@ -681,9 +681,8 @@ let snapshot t =
     ~client_cmds:t.dur.snap_client_cmds t.dur.app
 
 (* Entries below the trim point are unavailable; reads clamp to it. *)
-let read_committed t ~from =
-  let from = max from (Log.first_idx t.dur.log) in
-  Log.sub t.dur.log ~pos:from ~len:(t.commit_idx - from)
+let iter_committed t ~from f =
+  Log.iter_range t.dur.log ~from ~upto:t.commit_idx f
 
 (* Per-entry wire overhead beyond the command payload: terms are
    run-length encoded in practice, so they amortise to ~2 bytes/entry. *)

@@ -139,7 +139,8 @@ val snapshot_client_cmds : t -> int
 val snapshot : t -> string
 (** The encoded {!Replog.Snapshot} envelope covering [0, first_idx). *)
 
-val read_committed : t -> from:int -> entry list
-(** Committed entries from [from] (clamped to the trim point). *)
+val iter_committed : t -> from:int -> (entry -> unit) -> unit
+(** Applies the function, in log order, to each committed entry from [from]
+    (clamped to the trim point), building no list. *)
 
 val msg_size : msg -> int

@@ -107,6 +107,11 @@ let iteri_from t ~from f =
     f i t.data.(i - t.offset)
   done
 
+let iter_range t ~from ~upto f =
+  for i = max t.offset from to min upto (length t) - 1 do
+    f t.data.(i - t.offset)
+  done
+
 let fold t ~init ~f =
   let acc = ref init in
   for i = 0 to t.size - 1 do

@@ -51,4 +51,10 @@ val reset_to : 'a t -> offset:int -> unit
 
 val to_list : 'a t -> 'a list
 val iteri_from : 'a t -> from:int -> (int -> 'a -> unit) -> unit
+
+val iter_range : 'a t -> from:int -> upto:int -> ('a -> unit) -> unit
+(** [iter_range t ~from ~upto f] applies [f], in order, to the entries at
+    absolute indices from [from] up to but excluding [upto], clamped to
+    [first_idx t] and [length t]. Builds no list, unlike [sub]. *)
+
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b

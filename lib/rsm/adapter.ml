@@ -22,9 +22,13 @@ module Decided_cache = struct
 
   let count t = t.count
 
+  (* Consed straight from the array, back to front: no intermediate copy. *)
   let ids_from t ~from =
     let from = max 0 from in
-    Array.to_list (Array.sub t.ids from (max 0 (t.count - from)))
+    let rec collect i acc =
+      if i < from then acc else collect (i - 1) (t.ids.(i) :: acc)
+    in
+    collect (t.count - 1) []
 end
 
 (* Client commands carry ids >= 0; protocol-internal entries (no-ops the
@@ -32,12 +36,14 @@ end
 let note_cmd cache (c : Replog.Command.t) =
   if c.Replog.Command.id >= 0 then Decided_cache.note cache c.Replog.Command.id
 
-let note_entries cache (entries : Omnipaxos.Entry.t list) =
-  List.iter
+(* Omni-Paxos and VR: note the decided entries of a Sequence Paxos log in
+   place, without materialising them as a list. *)
+let scan_sequence_paxos sp cache ~from =
+  let module Sp = Omnipaxos.Sequence_paxos in
+  Replog.Log.iter_range (Sp.read_log sp) ~from ~upto:(Sp.decided_idx sp)
     (function
       | Omnipaxos.Entry.Cmd c -> note_cmd cache c
       | Omnipaxos.Entry.Stop_sign _ -> ())
-    entries
 
 (* The shared batching and compaction knobs in the terms of a core that
    batches and compacts on its own (Raft, Multi-Paxos), so Figure 7/8

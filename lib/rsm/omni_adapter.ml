@@ -32,7 +32,7 @@ struct
     { replica = build (); build }
 
   let scan c cache ~from ~upto:_ =
-    Adapter.note_entries cache (R.read_decided c.replica ~from)
+    Adapter.scan_sequence_paxos (R.sequence_paxos c.replica) cache ~from
 
   let handle c ~src msg = R.handle c.replica ~src msg
   let tick c = R.tick c.replica

@@ -32,12 +32,10 @@ struct
       ~send ~on_commit:on_decide ()
 
   let scan n cache ~from ~upto:_ =
-    List.iter
-      (fun (e : N.entry) ->
+    N.iter_committed n ~from (fun (e : N.entry) ->
         match e.N.data with
         | N.Cmd c -> Adapter.note_cmd cache c
         | N.Config _ -> ())
-      (N.read_committed n ~from)
 
   let handle = N.handle
   let tick = N.tick

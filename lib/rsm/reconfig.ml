@@ -594,16 +594,11 @@ module Raft_runner = struct
       match !ns with
       | None -> ()
       | Some ns ->
-          let entries = N.read_committed ns.node ~from:ns.scanned in
-          ns.scanned <- upto;
-          ns.cmds <-
-            ns.cmds
-            + List.fold_left
-                (fun acc (e : N.entry) ->
-                  match e.N.data with
-                  | N.Cmd c when c.Command.id >= 0 -> acc + 1
-                  | N.Cmd _ | N.Config _ -> acc)
-                0 entries
+          N.iter_committed ns.node ~from:ns.scanned (fun (e : N.entry) ->
+              match e.N.data with
+              | N.Cmd c when c.Command.id >= 0 -> ns.cmds <- ns.cmds + 1
+              | N.Cmd _ | N.Config _ -> ());
+          ns.scanned <- upto
     in
     let node =
       N.create ~id ~voters ~election_ticks:(election_ticks p)

@@ -21,7 +21,7 @@ module Core = struct
       ~on_snapshot:on_install ~send ~on_decide ()
 
   let scan n cache ~from ~upto:_ =
-    Adapter.note_entries cache (Sp.read_decided (N.sequence_paxos n) ~from)
+    Adapter.scan_sequence_paxos (N.sequence_paxos n) cache ~from
 
   let handle = N.handle
   let tick = N.tick

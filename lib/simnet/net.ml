@@ -23,11 +23,16 @@ type 'm event =
   | Session_reset of { node : int; peer : int; session : int }
   | Egress_step of { src : int; gen : int; completed : 'm pending option }
 
+(* A float-only record stores its field unboxed, so advancing the clock
+   allocates nothing (a float field of a mixed record is boxed on every
+   write). *)
+type clock = { mutable now : float }
+
 type 'm t = {
   n : int;
   rng : Random.State.t;
   events : 'm event Event_heap.t;
-  mutable clock : float;
+  clock : clock;
   (* Topology. [up.(a).(b)] is the a->b direction. *)
   up : bool array array;
   latency : float array array;
@@ -86,8 +91,8 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     {
     n;
     rng = Random.State.make [| seed |];
-    events = Event_heap.create ();
-    clock = 0.0;
+    events = Event_heap.create ~dummy:(Timer ignore);
+    clock = { now = 0.0 };
     up = Array.make_matrix n n true;
     latency = Array.make_matrix n n latency;
     session = Array.make_matrix n n 0;
@@ -120,8 +125,8 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
   (* Trace events emitted by the protocol layers carry simulated time; the
      latest-created network owns the tracer clock (runs are sequential).
      The profiler samples the same clock for its sim-time column. *)
-  Obs.Trace.set_clock (fun () -> t.clock);
-  Obs.Profile.set_clock (fun () -> t.clock);
+  Obs.Trace.set_clock (fun () -> t.clock.now);
+  Obs.Profile.set_clock (fun () -> t.clock.now);
   (* Binary trace headers record the run parameters of the simulation that
      produced them (the writer snapshots this at its first event). *)
   Obs.Trace.set_run_meta
@@ -132,7 +137,7 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     ];
   t
 
-let now t = t.clock
+let now t = t.clock.now
 let num_nodes t = t.n
 let rng t = t.rng
 
@@ -149,12 +154,12 @@ let set_session_handler t i f =
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Net.schedule: negative delay";
-  Event_heap.push t.events ~time:(t.clock +. delay) (Timer f)
+  Event_heap.push t.events ~time:(t.clock.now +. delay) (Timer f)
 
 let pair_connected t a b = t.up.(a).(b) && t.up.(b).(a)
 
 let schedule_delivery t ~src ~dst ~session ~size ~send_id ~lc msg =
-  let arrival = t.clock +. t.latency.(src).(dst) in
+  let arrival = t.clock.now +. t.latency.(src).(dst) in
   let arrival = Float.max arrival t.last_delivery.(src).(dst) in
   t.last_delivery.(src).(dst) <- arrival;
   t.deliver_in_flight <- t.deliver_in_flight + 1;
@@ -190,7 +195,7 @@ let pump_egress t src =
       t.egress_rr.(src) <- (d + 1) mod t.n;
       t.egress_busy.(src) <- true;
       let tx = float_of_int chunk /. t.egress_bw in
-      Event_heap.push t.events ~time:(t.clock +. tx)
+      Event_heap.push t.events ~time:(t.clock.now +. tx)
         (Egress_step { src; gen = t.egress_gen.(src); completed })
 
 let send t ~src ~dst ~size msg =
@@ -205,7 +210,7 @@ let send t ~src ~dst ~size msg =
     let lc = t.lamport.(src) + 1 in
     t.lamport.(src) <- lc;
     if Obs.Trace.on () then
-      Obs.Trace.emit_at ~time:t.clock ~node:src
+      Obs.Trace.emit_at ~time:t.clock.now ~node:src
         (Obs.Event.Msg_send { dst; size; send_id; lc });
     let session = t.session.(src).(dst) in
     if t.egress_bw = infinity then begin
@@ -232,7 +237,7 @@ let send t ~src ~dst ~size msg =
     end
   end
   else if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:src
+    Obs.Trace.emit_at ~time:t.clock.now ~node:src
       (Obs.Event.Msg_drop
          {
            src;
@@ -247,15 +252,15 @@ let bump_session t a b =
   t.session.(a).(b) <- s;
   t.session.(b).(a) <- s;
   if Obs.Trace.on () then begin
-    Obs.Trace.emit_at ~time:t.clock ~node:a
+    Obs.Trace.emit_at ~time:t.clock.now ~node:a
       (Obs.Event.Session_up { peer = b; session = s });
-    Obs.Trace.emit_at ~time:t.clock ~node:b
+    Obs.Trace.emit_at ~time:t.clock.now ~node:b
       (Obs.Event.Session_up { peer = a; session = s })
   end;
   (* Notify both endpoints once the (zero-latency) reconnection completes.
      Delivered as events so handlers run in timestamp order. *)
   let notify node peer =
-    Event_heap.push t.events ~time:t.clock
+    Event_heap.push t.events ~time:t.clock.now
       (Session_reset { node; peer; session = s })
   in
   notify a b;
@@ -265,14 +270,14 @@ let bump_session t a b =
    direction also drops the transport session at both endpoints. *)
 let trace_link_change t ~src ~dst ~was_connected ~up =
   if Obs.Trace.on () then begin
-    Obs.Trace.emit_at ~time:t.clock ~node:src
+    Obs.Trace.emit_at ~time:t.clock.now ~node:src
       (if up then Obs.Event.Link_heal { a = src; b = dst }
        else Obs.Event.Link_cut { a = src; b = dst });
     if was_connected && not (pair_connected t src dst) then begin
       let s = t.session.(src).(dst) in
-      Obs.Trace.emit_at ~time:t.clock ~node:src
+      Obs.Trace.emit_at ~time:t.clock.now ~node:src
         (Obs.Event.Session_drop { peer = dst; session = s });
-      Obs.Trace.emit_at ~time:t.clock ~node:dst
+      Obs.Trace.emit_at ~time:t.clock.now ~node:dst
         (Obs.Event.Session_drop { peer = src; session = s })
     end
   end
@@ -315,9 +320,9 @@ let reset_session t a b =
        with a real TCP reset; both endpoints are notified of the new one. *)
     if Obs.Trace.on () then begin
       let s = t.session.(a).(b) in
-      Obs.Trace.emit_at ~time:t.clock ~node:a
+      Obs.Trace.emit_at ~time:t.clock.now ~node:a
         (Obs.Event.Session_drop { peer = b; session = s });
-      Obs.Trace.emit_at ~time:t.clock ~node:b
+      Obs.Trace.emit_at ~time:t.clock.now ~node:b
         (Obs.Event.Session_drop { peer = a; session = s })
     end;
     bump_session t a b
@@ -355,7 +360,7 @@ let crash t i =
   check_node t i;
   t.node_up.(i) <- false;
   if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:i Obs.Event.Crashed;
+    Obs.Trace.emit_at ~time:t.clock.now ~node:i Obs.Event.Crashed;
   t.handlers.(i) <- None;
   t.session_handlers.(i) <- None;
   (* Unsent egress data is lost with the process. *)
@@ -368,7 +373,7 @@ let recover t i =
   check_node t i;
   t.node_up.(i) <- true;
   if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:i Obs.Event.Recovered;
+    Obs.Trace.emit_at ~time:t.clock.now ~node:i Obs.Event.Recovered;
   (* Transport connections did not survive: bump the session with every
      currently-reachable peer so both sides observe a reconnection. *)
   for j = 0 to t.n - 1 do
@@ -402,7 +407,7 @@ let dispatch t event =
             let rlc = 1 + max t.lamport.(dst) lc in
             t.lamport.(dst) <- rlc;
             if Obs.Trace.on () then
-              Obs.Trace.emit_at ~time:t.clock ~node:dst
+              Obs.Trace.emit_at ~time:t.clock.now ~node:dst
                 (Obs.Event.Msg_deliver { src; size; send_id; lc = rlc });
             h ~src msg
         | None -> ()
@@ -414,7 +419,7 @@ let dispatch t event =
           else if not t.up.(src).(dst) then "link-down"
           else "stale-session"
         in
-        Obs.Trace.emit_at ~time:t.clock ~node:dst
+        Obs.Trace.emit_at ~time:t.clock.now ~node:dst
           (Obs.Event.Msg_drop { src; dst; reason; session; send_id })
       end
   | Session_reset { node; peer; session } ->
@@ -442,38 +447,46 @@ let dispatch_label = function
   | Session_reset _ -> "simnet/session_reset"
   | Egress_step _ -> "simnet/egress"
 
+(* [Float.max] for the simulator's times (never NaN or -0.), without
+   [Float.max]'s boxed result. *)
+let[@inline] advance t time = if time > t.clock.now then t.clock.now <- time
+
+(* Reads the minimum time and pops the payload separately, so stepping an
+   event allocates no option or tuple. *)
 let step t =
-  match Event_heap.pop t.events with
-  | None -> false
-  | Some (time, event) ->
-      if Obs.Profile.on () then begin
-        (* The clock advance happens inside the frame, so the sim-time
-           column of a dispatch label accumulates the simulated time that
-           passed waiting for events of that class; handler frames opened
-           within (protocol adapters, flush) nest as children. The cold
-           branch below is duplicated rather than wrapped in a closure so
-           the profiler-off path allocates nothing extra. *)
-        Obs.Profile.enter (dispatch_label event);
-        t.clock <- Float.max t.clock time;
-        dispatch t event;
-        Obs.Profile.leave ()
-      end
-      else begin
-        t.clock <- Float.max t.clock time;
-        dispatch t event
-      end;
-      true
+  if Event_heap.is_empty t.events then false
+  else begin
+    let time = Event_heap.min_time t.events in
+    let event = Event_heap.pop_payload t.events in
+    if Obs.Profile.on () then begin
+      (* The clock advance happens inside the frame, so the sim-time
+         column of a dispatch label accumulates the simulated time that
+         passed waiting for events of that class; handler frames opened
+         within (protocol adapters, flush) nest as children. The cold
+         branch below is duplicated rather than wrapped in a closure so
+         the profiler-off path allocates nothing extra. *)
+      Obs.Profile.enter (dispatch_label event);
+      advance t time;
+      dispatch t event;
+      Obs.Profile.leave ()
+    end
+    else begin
+      advance t time;
+      dispatch t event
+    end;
+    true
+  end
 
 let run_until t deadline =
-  let continue = ref true in
-  while !continue do
-    match Event_heap.peek_time t.events with
-    | Some time when time <= deadline -> ignore (step t)
-    | Some _ | None -> continue := false
+  while
+    (not (Event_heap.is_empty t.events))
+    && Event_heap.min_time t.events <= deadline
+  do
+    ignore (step t)
   done;
-  t.clock <- Float.max t.clock deadline
+  advance t deadline
 
-let run_for t d = run_until t (t.clock +. d)
+let run_for t d = run_until t (t.clock.now +. d)
 
 let drain t = while step t do () done
 

@@ -624,6 +624,23 @@ let test_profile_exception_safety () =
   check "stack unwound: sibling not nested under the failed frame" true
     (List.mem "after" labels)
 
+(* A 1,000-cell list is 3,000 words (header, head, tail per cell). The
+   frame is charged for it even though it fits in the minor heap without a
+   collection. *)
+let test_profile_alloc_words () =
+  let kept = ref [] in
+  let (), root =
+    Profile.with_profile (fun () ->
+        Profile.wrap "alloc" (fun () -> kept := List.init 1000 Fun.id))
+  in
+  let row =
+    List.find (fun (r : Profile.row) -> r.Profile.r_label = "alloc")
+      (Profile.flat root)
+  in
+  check_int "list kept" 1000 (List.length !kept);
+  check "frame charged at least 3,000 words" true
+    (row.Profile.r_alloc_w >= 3000.0)
+
 let test_profile_json_deterministic () =
   let go () =
     let (), root =
@@ -702,5 +719,6 @@ let () =
             test_profile_exception_safety;
           Alcotest.test_case "json determinism" `Quick
             test_profile_json_deterministic;
+          Alcotest.test_case "alloc words" `Quick test_profile_alloc_words;
         ] );
     ]

@@ -17,19 +17,20 @@ let collect net dst log =
 (* ------------------------- event heap ------------------------- *)
 
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   List.iter (fun (t, v) -> Heap.push h ~time:t v)
     [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (1.0, "a2") ];
-  let pop () = snd (Option.get (Heap.pop h)) in
+  let pop () = Heap.pop_payload h in
   let p1 = pop () in
   let p2 = pop () in
   let p3 = pop () in
   let p4 = pop () in
   check "time order with FIFO ties" true ([ p1; p2; p3; p4 ] = [ "a"; "a2"; "b"; "c" ]);
-  check "empty" true (Heap.pop h = None)
+  check "empty" true (Heap.is_empty h);
+  check "empty min time" true (Heap.min_time h = infinity)
 
 let test_heap_many () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:(-1) in
   let rand = Random.State.make [| 9 |] in
   for i = 0 to 999 do
     Heap.push h ~time:(Random.State.float rand 100.0) i
@@ -37,19 +38,20 @@ let test_heap_many () =
   let last = ref neg_infinity in
   let ok = ref true in
   for _ = 0 to 999 do
-    let t, _ = Option.get (Heap.pop h) in
+    let t = Heap.min_time h in
+    ignore (Heap.pop_payload h);
     if t < !last then ok := false;
     last := t
   done;
   check "1000 random pushes pop sorted" true !ok
 
 let test_heap_stats () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0.0 in
   let s = Heap.stats h in
   check "fresh heap all zero" true
     (s = { Heap.hs_size = 0; hs_high_water = 0; hs_pushes = 0; hs_pops = 0 });
   List.iter (fun t -> Heap.push h ~time:t t) [ 1.0; 2.0; 3.0 ];
-  ignore (Heap.pop h);
+  ignore (Heap.pop_payload h);
   let s = Heap.stats h in
   check_int "size after 3 pushes, 1 pop" 2 s.Heap.hs_size;
   check_int "high-water is the peak size" 3 s.Heap.hs_high_water;
@@ -58,10 +60,80 @@ let test_heap_stats () =
   List.iter (fun t -> Heap.push h ~time:t t) [ 4.0; 5.0 ];
   check_int "high-water advances past the old peak" 4
     (Heap.stats h).Heap.hs_high_water;
-  while Heap.pop h <> None do () done;
+  while not (Heap.is_empty h) do ignore (Heap.pop_payload h) done;
   let s = Heap.stats h in
   check_int "drained size" 0 s.Heap.hs_size;
   check "pushes = pops when drained" true (s.Heap.hs_pushes = s.Heap.hs_pops)
+
+(* Pushes and pops interleaved at random, over a handful of distinct times
+   so most keys tie: every pop must return the minimum of a reference model
+   ordered by (time, insertion order). *)
+let test_heap_interleaved_ties () =
+  let h = Heap.create ~dummy:(-1) in
+  let rand = Random.State.make [| 17 |] in
+  let model = ref [] in  (* (time, id) of live entries *)
+  let next_id = ref 0 in
+  let popped = ref [] and expected = ref [] in
+  let peak = ref 0 in
+  let pop_one () =
+    let time = Heap.min_time h in
+    let id = Heap.pop_payload h in
+    popped := (time, id) :: !popped;
+    let sorted = List.sort compare !model in
+    expected := List.hd sorted :: !expected;
+    model := List.tl sorted
+  in
+  for _ = 1 to 5000 do
+    if !model <> [] && Random.State.int rand 5 < 2 then pop_one ()
+    else begin
+      let time = float_of_int (Random.State.int rand 8) in
+      Heap.push h ~time !next_id;
+      model := (time, !next_id) :: !model;
+      peak := max !peak (List.length !model);
+      incr next_id
+    end
+  done;
+  while not (Heap.is_empty h) do pop_one () done;
+  check_int "every entry popped" !next_id (List.length !popped);
+  check "pops follow (time, insertion order)" true (!popped = !expected);
+  check "stats count the interleaving" true
+    (Heap.stats h
+    = { Heap.hs_size = 0; hs_high_water = !peak; hs_pushes = !next_id;
+        hs_pops = !next_id })
+
+(* A popped event must not stay reachable from its vacated slot. *)
+let test_heap_releases_popped () =
+  let h = Heap.create ~dummy:(ref (-1)) in
+  let w = Weak.create 3 in
+  for i = 0 to 2 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Heap.push h ~time:(float_of_int i) v
+  done;
+  while not (Heap.is_empty h) do ignore (Heap.pop_payload h) done;
+  Gc.full_major ();
+  check "popped payloads collected" true
+    (List.for_all (fun i -> not (Weak.check w i)) [ 0; 1; 2 ]);
+  (* The heap itself must outlive the collection above. *)
+  check_int "heap still live" 3 (Heap.stats h).Heap.hs_pops
+
+(* After warm-up has grown the arrays, a push and a pop move unboxed times
+   and payloads between slots and allocate nothing. The times are boxed up
+   front (list cells hold floats boxed, a float array would box on every
+   read) so the count is the heap's own, whatever the caller's inlining. *)
+let test_heap_allocation_free () =
+  let h = Heap.create ~dummy:(-1) in
+  let times = List.init 256 (fun i -> float_of_int ((i * 37) mod 64)) in
+  let push_one i time = Heap.push h ~time i in
+  let round () =
+    List.iteri push_one times;
+    while not (Heap.is_empty h) do ignore (Heap.pop_payload h) done
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do round () done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 2,560 pushes and pops" 0.0 words
 
 (* ------------------------- net instrumentation ------------------------- *)
 
@@ -330,6 +402,12 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "many" `Quick test_heap_many;
           Alcotest.test_case "stats" `Quick test_heap_stats;
+          Alcotest.test_case "interleaved ties" `Quick
+            test_heap_interleaved_ties;
+          Alcotest.test_case "allocation-free" `Quick
+            test_heap_allocation_free;
+          Alcotest.test_case "releases popped" `Quick
+            test_heap_releases_popped;
           Alcotest.test_case "net instrumentation" `Quick
             test_net_instrumentation;
         ] );
